@@ -134,6 +134,9 @@ CheckResult consistency::checkUpdateSequence(
   }
 
   // --- Definition 2's three per-packet-trace conditions. ---
+  // Every happens-before query below pairs an entry with some K[I].
+  for (int Ki : K)
+    Tr.prepareQueries(Ki);
   for (size_t C = 0; C != Chains.size(); ++C) {
     const std::vector<int> &Chain = Chains[C];
     const std::vector<size_t> &Member = Memberships[C];

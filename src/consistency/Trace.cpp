@@ -13,7 +13,9 @@ int NetworkTrace::append(TraceEntry E) {
   assert(E.Parent < static_cast<int>(Entries.size()) &&
          "parent must precede child");
   Entries.push_back(std::move(E));
-  ClosureValid = false;
+  PrevAtSwitch.clear();
+  Forward.clear();
+  Backward.clear();
   return static_cast<int>(Entries.size()) - 1;
 }
 
@@ -48,42 +50,88 @@ std::vector<std::vector<int>> NetworkTrace::packetTraces() const {
   return Out;
 }
 
-void NetworkTrace::buildClosure() const {
-  size_t N = Entries.size();
-  size_t Words = (N + 63) / 64;
-  Closure.assign(N, std::vector<uint64_t>(Words, 0));
-
-  // Direct edges: parent -> child, and per-switch consecutive order.
-  std::vector<std::vector<int>> Succ(N);
+const std::vector<int> &NetworkTrace::prevAtSwitch() const {
+  if (PrevAtSwitch.size() == Entries.size())
+    return PrevAtSwitch;
+  PrevAtSwitch.assign(Entries.size(), -1);
   std::map<SwitchId, int> LastAtSwitch;
-  for (size_t I = 0; I != N; ++I) {
-    if (Entries[I].Parent >= 0)
-      Succ[Entries[I].Parent].push_back(static_cast<int>(I));
-    SwitchId Sw = Entries[I].Lp.sw();
-    auto It = LastAtSwitch.find(Sw);
-    if (It != LastAtSwitch.end())
-      Succ[It->second].push_back(static_cast<int>(I));
-    LastAtSwitch[Sw] = static_cast<int>(I);
-  }
-
-  // Both orders respect log order, so a single reverse sweep closes the
-  // relation: Closure[I] = union of {J} ∪ Closure[J] over successors J.
-  for (size_t I = N; I-- > 0;) {
-    for (int J : Succ[I]) {
-      Closure[I][J / 64] |= uint64_t(1) << (J % 64);
-      for (size_t W = 0; W != Words; ++W)
-        Closure[I][W] |= Closure[J][W];
+  for (size_t I = 0; I != Entries.size(); ++I) {
+    auto [It, Fresh] =
+        LastAtSwitch.emplace(Entries[I].Lp.sw(), static_cast<int>(I));
+    if (!Fresh) {
+      PrevAtSwitch[I] = It->second;
+      It->second = static_cast<int>(I);
     }
   }
-  ClosureValid = true;
+  return PrevAtSwitch;
+}
+
+namespace {
+bool testBit(const std::vector<uint64_t> &S, int I) {
+  return (S[static_cast<size_t>(I) / 64] >> (I % 64)) & 1;
+}
+void setBit(std::vector<uint64_t> &S, int I) {
+  S[static_cast<size_t>(I) / 64] |= uint64_t(1) << (I % 64);
+}
+} // namespace
+
+// Both direct edges (parent -> child, per-switch predecessor -> entry)
+// point forward in log order, so one sweep in log order closes a forward
+// set, and one sweep against it closes a backward set.
+
+const NetworkTrace::Reach &NetworkTrace::forwardSet(int K) const {
+  auto [It, Fresh] = Forward.try_emplace(K);
+  if (!Fresh)
+    return It->second;
+  const std::vector<int> &Prev = prevAtSwitch();
+  Reach &S = It->second;
+  S.assign((Entries.size() + 63) / 64, 0);
+  auto Reached = [&](int I) { return I == K || (I > K && testBit(S, I)); };
+  for (int J = K + 1; J < static_cast<int>(Entries.size()); ++J) {
+    int P = Entries[J].Parent;
+    if ((P >= K && Reached(P)) || (Prev[J] >= K && Reached(Prev[J])))
+      setBit(S, J);
+  }
+  return S;
+}
+
+const NetworkTrace::Reach &NetworkTrace::backwardSet(int K) const {
+  auto [It, Fresh] = Backward.try_emplace(K);
+  if (!Fresh)
+    return It->second;
+  const std::vector<int> &Prev = prevAtSwitch();
+  Reach &S = It->second;
+  S.assign((Entries.size() + 63) / 64, 0);
+  for (int J = K; J >= 0; --J) {
+    if (J != K && !testBit(S, J))
+      continue;
+    if (Entries[J].Parent >= 0)
+      setBit(S, Entries[J].Parent);
+    if (Prev[J] >= 0)
+      setBit(S, Prev[J]);
+  }
+  return S;
+}
+
+void NetworkTrace::prepareQueries(int K) const {
+  assert(K >= 0 && K < static_cast<int>(Entries.size()) &&
+         "entry index out of range");
+  forwardSet(K);
+  backwardSet(K);
 }
 
 bool NetworkTrace::happensBefore(int A, int B) const {
   assert(A >= 0 && B >= 0 && A < static_cast<int>(Entries.size()) &&
          B < static_cast<int>(Entries.size()) && "entry index out of range");
-  if (!ClosureValid)
-    buildClosure();
-  return (Closure[A][B / 64] >> (B % 64)) & 1;
+  if (A >= B)
+    return false; // every edge points forward in log order
+  auto F = Forward.find(A);
+  if (F != Forward.end())
+    return testBit(F->second, B);
+  auto Bk = Backward.find(B);
+  if (Bk != Backward.end())
+    return testBit(Bk->second, A);
+  return testBit(forwardSet(A), B);
 }
 
 std::string NetworkTrace::str() const {

@@ -27,6 +27,7 @@
 #include "support/Ids.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace eventnet {
@@ -58,21 +59,34 @@ public:
   std::vector<std::vector<int>> packetTraces() const;
 
   /// happens-before: Definition 1's least partial order. True if entry
-  /// \p A must precede entry \p B. Computed lazily; the first query
-  /// builds a reachability closure over the per-switch and per-trace
-  /// orders.
+  /// \p A must precede entry \p B. Answered from a memoised reachability
+  /// set — the forward set of \p A or the backward set of \p B, whichever
+  /// exists — and otherwise by building \p A's forward set. One set is
+  /// one O(entries) sweep and entries/8 bytes.
   bool happensBefore(int A, int B) const;
+
+  /// Builds (once) both reachability sets of entry \p K, so every query
+  /// that pairs \p K with another entry is a bit test. The batch checker
+  /// calls this for each first-occurrence entry: memory is then
+  /// O(#first occurrences x entries / 8), not entries^2 / 8.
+  void prepareQueries(int K) const;
 
   std::string str() const;
 
 private:
-  void buildClosure() const;
+  using Reach = std::vector<uint64_t>;
+  const Reach &forwardSet(int K) const;
+  const Reach &backwardSet(int K) const;
+  const std::vector<int> &prevAtSwitch() const;
 
   std::vector<TraceEntry> Entries;
-  /// Reachability bitsets: Closure[I] has bit J set iff I happens-before
-  /// J (strictly). Rebuilt when entries change.
-  mutable std::vector<std::vector<uint64_t>> Closure;
-  mutable bool ClosureValid = false;
+  /// Per entry, the previous entry at the same switch (or -1). Together
+  /// with Parent these are every direct happens-before edge, and both
+  /// point backwards in log order. Rebuilt when entries change.
+  mutable std::vector<int> PrevAtSwitch;
+  /// Memoised strict reachability: Forward[K] has bit J set iff K
+  /// happens-before J; Backward[K] iff J happens-before K.
+  mutable std::unordered_map<int, Reach> Forward, Backward;
 };
 
 } // namespace consistency

@@ -25,10 +25,16 @@ void Match::require(FieldId F, Value V) {
   Cs.insert(It, {F, V});
 }
 
-bool Match::matches(const Packet &Pkt) const {
-  for (const auto &[F, V] : Cs)
-    if (!Pkt.has(F) || Pkt.get(F) != V)
+bool Match::matches(netkat::PacketView Pkt) const {
+  // Both sides are sorted by field: one merge walk.
+  const netkat::PacketView::Field *P = Pkt.begin(), *E = Pkt.end();
+  for (const auto &[F, V] : Cs) {
+    while (P != E && P->first < F)
+      ++P;
+    if (P == E || P->first != F || P->second != V)
       return false;
+    ++P;
+  }
   return true;
 }
 
@@ -141,7 +147,7 @@ void Table::add(Rule R) {
   Rules.insert(It, std::move(R));
 }
 
-const Rule *Table::lookup(const Packet &Pkt) const {
+const Rule *Table::lookup(netkat::PacketView Pkt) const {
   for (const Rule &R : Rules)
     if (R.Pattern.matches(Pkt))
       return &R;

@@ -38,7 +38,7 @@ public:
   void require(FieldId F, Value V);
 
   /// Returns true if \p Pkt satisfies every constraint.
-  bool matches(const netkat::Packet &Pkt) const;
+  bool matches(netkat::PacketView Pkt) const;
 
   /// Returns true if this pattern is at least as general as \p Other,
   /// i.e. every packet matching \p Other also matches this.
@@ -102,7 +102,7 @@ public:
   void add(Rule R);
 
   /// Looks up the first matching rule, or nullptr on table miss.
-  const Rule *lookup(const netkat::Packet &Pkt) const;
+  const Rule *lookup(netkat::PacketView Pkt) const;
 
   /// Processes \p Pkt: applies the matched rule's actions, producing zero
   /// (drop / miss) or more output packets.

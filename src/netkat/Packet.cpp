@@ -57,6 +57,38 @@ void Packet::erase(FieldId F) {
     Fields.erase(It);
 }
 
+void Packet::assign(const PacketView &V) {
+  Fields.assign(V.begin(), V.end());
+}
+
+Value PacketView::get(FieldId F) const {
+  const Value *V = find(F);
+  assert(V && "field absent from packet");
+  return *V;
+}
+
+bool netkat::writesYield(PacketView In, PacketView Writes, PacketView Out) {
+  // Walk the sorted union of In and Writes (a write overrides In's value
+  // or inserts its field) in step with Out.
+  const PacketView::Field *I = In.begin(), *IE = In.end();
+  const PacketView::Field *W = Writes.begin(), *WE = Writes.end();
+  const PacketView::Field *O = Out.begin(), *OE = Out.end();
+  while (I != IE || W != WE) {
+    PacketView::Field Next;
+    if (W == WE || (I != IE && I->first < W->first)) {
+      Next = *I++;
+    } else {
+      if (I != IE && I->first == W->first)
+        ++I;
+      Next = *W++;
+    }
+    if (O == OE || *O != Next)
+      return false;
+    ++O;
+  }
+  return O == OE;
+}
+
 std::string Packet::str() const {
   std::ostringstream OS;
   OS << '{';

@@ -39,20 +39,35 @@ std::vector<Packet> Configuration::step(const Topology &Topo,
   return Out;
 }
 
-bool Configuration::related(const Topology &Topo, const Packet &From,
-                            const Packet &To) const {
-  // Link step.
-  if (auto Dst = Topo.linkFrom(From.loc())) {
-    Packet Moved = From;
-    Moved.setLoc(*Dst);
-    if (Moved == To)
+bool Configuration::related(const Topology &Topo, netkat::PacketView From,
+                            netkat::PacketView To) const {
+  // Link step: From with its location moved to the link target.
+  Location L = From.loc();
+  if (auto Dst = Topo.linkFrom(L)) {
+    const netkat::PacketView::Field Moved[] = {
+        {FieldSw, static_cast<Value>(Dst->Sw)},
+        {FieldPt, static_cast<Value>(Dst->Pt)}};
+    static_assert(FieldSw < FieldPt, "location writes must stay sorted");
+    if (netkat::writesYield(From, {Moved, 2}, To))
       return true;
   }
-  // Table step.
-  for (const Packet &Q : tableFor(From.sw()).apply(From))
-    if (Q == To)
+  // Table step: one output per action of the matched rule.
+  const flowtable::Rule *R = tableFor(L.Sw).lookup(From);
+  if (!R)
+    return false;
+  for (const flowtable::ActionSeq &A : R->Actions)
+    if (netkat::writesYield(From, {A.data(), A.size()}, To))
       return true;
   return false;
+}
+
+bool Configuration::terminal(const Topology &Topo,
+                             netkat::PacketView Lp) const {
+  Location L = Lp.loc();
+  if (Topo.linkFrom(L))
+    return false;
+  const flowtable::Rule *R = tableFor(L.Sw).lookup(Lp);
+  return !R || R->Actions.empty();
 }
 
 bool Configuration::isCompleteTrace(
@@ -74,7 +89,7 @@ bool Configuration::isCompleteTrace(
       !Topo.linkFrom(Last.loc()); // host ports have no outgoing link
   if (Delivered)
     return true;
-  return step(Topo, Last).empty();
+  return terminal(Topo, Last);
 }
 
 std::string Configuration::str() const {

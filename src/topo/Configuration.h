@@ -58,9 +58,15 @@ public:
   std::vector<netkat::Packet> step(const Topology &Topo,
                                    const netkat::Packet &Lp) const;
 
-  /// True if \p From -> \p To is a single step of the relation.
-  bool related(const Topology &Topo, const netkat::Packet &From,
-               const netkat::Packet &To) const;
+  /// True if \p From -> \p To is a single step of the relation, i.e.
+  /// \p To is among step(Topo, From). Compares in place; allocates
+  /// nothing.
+  bool related(const Topology &Topo, netkat::PacketView From,
+               netkat::PacketView To) const;
+
+  /// True iff step(Topo, Lp) is empty: no link leaves Lp's location and
+  /// the switch table drops (or misses) it. Allocates nothing.
+  bool terminal(const Topology &Topo, netkat::PacketView Lp) const;
 
   /// True if the sequence \p Trace is a *maximal* trace of this
   /// configuration: consecutive entries are related, and the final entry

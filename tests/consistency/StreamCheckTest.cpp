@@ -19,6 +19,8 @@
 #include "engine/TrafficGen.h"
 #include "faults/FaultPlan.h"
 #include "faults/Injector.h"
+#include "netkat/Ast.h"
+#include "topo/Builders.h"
 
 #include <gtest/gtest.h>
 
@@ -367,6 +369,210 @@ TEST(StreamCheck, PeakAccountingTracksWindow) {
   EXPECT_GT(Res.Stats.PeakResidentBytes, 0u);
   EXPECT_GT(Res.Stats.EntriesChecked, 0u);
   EXPECT_EQ(Res.Stats.EntriesIngested, R.Trace.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Slab storage: long-lived trees, wide ticket spreads, retirement order
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Base repeated \p Reps times, plus one excused copy of entry 0's
+/// first hop under entry 0 per repetition: entry 0's tree stays active
+/// (open) across the whole stream while every other tree retires.
+RunOut longLivedStream(const consistency::NetworkTrace &Base,
+                       unsigned Reps) {
+  const auto &Es = Base.entries();
+  int Hop = -1;
+  for (size_t I = 0; I != Es.size() && Hop < 0; ++I)
+    if (Es[I].Parent == 0)
+      Hop = static_cast<int>(I);
+  EXPECT_GE(Hop, 0) << "entry 0 has no child";
+  RunOut Out;
+  for (unsigned R = 0; R != Reps; ++R) {
+    int Off = static_cast<int>(Out.Trace.size());
+    for (consistency::TraceEntry E : Es) {
+      if (E.Parent >= 0)
+        E.Parent += Off;
+      Out.Trace.append(std::move(E));
+    }
+    if (R != 0 && Hop >= 0) {
+      consistency::TraceEntry X = Es[Hop];
+      X.Parent = 0;
+      Out.Ctx.ExcusedEntries.push_back(Out.Trace.append(std::move(X)));
+    }
+  }
+  Out.HasCtx = true;
+  return Out;
+}
+
+} // namespace
+
+/// One tree stays open while far more than the window's worth of newer
+/// entries retire. Its nodes sit in many slab chunks, yet the checker's
+/// footprint follows the live entries, not the stream: a run four times
+/// longer peaks at about the same resident bytes.
+TEST(StreamCheck, LongLivedTreeKeepsFootprintBounded) {
+  topo::Topology Topo = topo::ringTopology(8, 4);
+  nes::Nes N = apps::staticRoutingNes(Topo);
+  EngineConfig Cfg;
+  Cfg.NumShards = 1;
+  Engine E(N, Topo, Cfg);
+  TrafficGen G(Topo, 5);
+  E.run(G.pings(2, 6));
+  consistency::NetworkTrace Base = E.trace();
+  ASSERT_GT(Base.size(), 64u);
+
+  StreamOptions O;
+  O.Window = 2048;
+  O.QuietHorizon = 2 * (Base.size() + 1); // the open tree never goes quiet
+  uint64_t Peak[2] = {0, 0};
+  for (int Long = 0; Long != 2; ++Long) {
+    size_t Want = (Long ? 40 : 10) * O.Window;
+    RunOut R = longLivedStream(Base, Want / (Base.size() + 1) + 1);
+    ASSERT_GT(R.Trace.size(), Want);
+    auto Batch = consistency::checkAgainstNes(R.Trace, Topo, N, &R.Ctx);
+    StreamResult Res =
+        consistency::streamCheckTrace(R.Trace, Topo, N, &R.Ctx, O);
+    EXPECT_TRUE(Batch.Correct) << Batch.Reason;
+    EXPECT_TRUE(Res.ok()) << streamVerdictName(Res.Verdict) << ": "
+                          << Res.Reason;
+    EXPECT_EQ(Res.Stats.EntriesChecked, R.Trace.size());
+    EXPECT_LE(Res.Stats.PeakWindow, O.Window);
+    Peak[Long] = Res.Stats.PeakResidentBytes;
+  }
+  EXPECT_LT(Peak[1], Peak[0] * 3 / 2)
+      << "footprint grew with the stream: " << Peak[0] << " -> " << Peak[1];
+  EXPECT_LT(Peak[1], uint64_t(4) << 20);
+}
+
+/// A 4-shard engine trace fed as four interleaved per-shard streams whose
+/// fed frontiers lie thousands of tickets apart — wider than a slab chunk
+/// — and, in a second pass, with tickets spread 1031 apart so the chunks
+/// span more than the chunk-pointer cache. Commits stay in ticket order,
+/// so verdict, reason and retirement counts equal the in-order replay.
+TEST(StreamCheck, FourShardFeedWiderThanTheSlab) {
+  Scenario S = firewallScenario(37);
+  ASSERT_TRUE(S.C.ok()) << S.C.status().str();
+  TrafficGen G(S.A.Topo, 37);
+  S.W += G.bulk(topo::HostH1, topo::HostH4, 1500, 100);
+  RunOut R = runEngine(S, 4);
+  const auto &Es = R.Trace.entries();
+  ASSERT_GT(Es.size(), 4000u);
+  StreamResult InOrder = consistency::streamCheckTrace(
+      R.Trace, S.A.Topo, S.C->structure(), R.HasCtx ? &R.Ctx : nullptr);
+  auto Batch = consistency::checkAgainstNes(
+      R.Trace, S.A.Topo, S.C->structure(), R.HasCtx ? &R.Ctx : nullptr);
+  EXPECT_EQ(InOrder.ok(), Batch.Correct) << InOrder.Reason;
+
+  std::vector<bool> Dup(Es.size(), false), Exc(Es.size(), false);
+  for (int I : R.Ctx.DupEntries)
+    Dup[I] = true;
+  for (int I : R.Ctx.ExcusedEntries)
+    Exc[I] = true;
+  for (uint64_t Stride : {1ull, 1031ull}) {
+    // Shard s owns the entries with (index / 700) % 4 == s.
+    std::vector<std::vector<size_t>> Shard(4);
+    for (size_t I = 0; I != Es.size(); ++I)
+      Shard[(I / 700) % 4].push_back(I);
+    std::vector<size_t> Next(4, 0);
+    StreamOptions O; // the quiet horizon is in tickets: scale it too
+    O.QuietHorizon *= Stride;
+    consistency::StreamChecker C(S.C->structure(), S.A.Topo, O);
+    bool Left = true;
+    while (Left) {
+      for (unsigned Sh = 0; Sh != 4; ++Sh)
+        for (unsigned K = 0; K != 300 && Next[Sh] != Shard[Sh].size(); ++K) {
+          size_t I = Shard[Sh][Next[Sh]++];
+          int64_t P = Es[I].Parent < 0 ? -1 : Es[I].Parent * (int64_t)Stride;
+          C.feedEntry(I * Stride, P, Es[I].Lp, Es[I].IsDelivery, Dup[I]);
+          if (Exc[I])
+            C.feedExcuse(I * Stride);
+        }
+      // The watermark: below every shard's next unfed entry.
+      size_t Low = Es.size();
+      Left = false;
+      for (unsigned Sh = 0; Sh != 4; ++Sh)
+        if (Next[Sh] != Shard[Sh].size()) {
+          Low = std::min(Low, Shard[Sh][Next[Sh]]);
+          Left = true;
+        }
+      if (Low > 0)
+        C.advance((Low - 1) * Stride);
+    }
+    StreamResult Res = C.finish();
+    EXPECT_EQ(Res.Verdict, InOrder.Verdict) << "stride " << Stride;
+    EXPECT_EQ(Res.Reason, InOrder.Reason) << "stride " << Stride;
+    EXPECT_EQ(Res.Stats.EntriesChecked, Es.size()) << "stride " << Stride;
+    EXPECT_EQ(Res.Stats.TreesRetired, InOrder.Stats.TreesRetired);
+    EXPECT_EQ(Res.Stats.ChainsRetired, InOrder.Stats.ChainsRetired);
+  }
+}
+
+/// Two trees violate in the same quiet sweep, and the tree with the
+/// lower root reports, although the other one went quiet first: a sweep
+/// retires in ascending root order. Hand-built: one switch, two events
+/// e0 (port 4) then e1 (port 5), and three configurations.
+///   P = [p0 (ticket 2), p1 (ticket 4)] is only a trace of C0: too late
+///       for e0.
+///   Q = [q (ticket 3)] is a trace of C0 and C1 only: too late for e1.
+/// Q's last activity (3) precedes P's (4); P's root (2) precedes Q's (3).
+TEST(StreamCheck, SameSweepViolationsReportTheLowerRoot) {
+  topo::Topology Topo;
+  Topo.addSwitch(1);
+  FieldId H = fieldOf("ip_dst");
+  auto Forward = [&](Value V, PortId Out) {
+    flowtable::Rule R;
+    R.Priority = 1;
+    R.Pattern.require(FieldPt, 1);
+    R.Pattern.require(H, V);
+    R.Actions = {flowtable::normalizeActionSeq({{FieldPt, Out}})};
+    return R;
+  };
+  std::vector<topo::Configuration> Cs(3);
+  Cs[0].setTable(1, flowtable::Table({Forward(7, 2)}));
+  Cs[1].setTable(1, flowtable::Table({Forward(7, 3)}));
+  Cs[2].setTable(1, flowtable::Table({Forward(7, 3), Forward(8, 3)}));
+  std::vector<netkat::Event> Evs(2);
+  Evs[0].Guard = netkat::pTrue();
+  Evs[0].Loc = {1, 4};
+  Evs[1].Guard = netkat::pTrue();
+  Evs[1].Loc = {1, 5};
+  DenseBitSet S1, S2;
+  S1.set(0);
+  S2.set(0);
+  S2.set(1);
+  nes::Nes N(Evs, {DenseBitSet(), S1, S2}, Cs, {{0}, {1}, {2}});
+
+  auto At = [&](PortId Pt, Value V) {
+    return netkat::makePacket({1, Pt}, {{H, V}});
+  };
+  consistency::NetworkTrace Tr;
+  Tr.append({At(4, 0), -1, false}); // 0: e0's first occurrence
+  Tr.append({At(5, 0), -1, false}); // 1: e1's first occurrence
+  Tr.append({At(1, 7), -1, false}); // 2: p0
+  Tr.append({At(1, 8), -1, false}); // 3: q
+  Tr.append({At(2, 7), 2, false});  // 4: p1
+  while (Tr.size() != 300)          // quiet filler, dropped everywhere
+    Tr.append({At(6, 0), -1, false});
+
+  StreamOptions O;
+  O.QuietHorizon = 16; // the sweep at commit 256 retires P and Q together
+  consistency::StreamChecker C(N, Topo, O);
+  for (size_t I = 0; I != Tr.size(); ++I) {
+    C.feedEntry(I, Tr.entries()[I].Parent, Tr.entries()[I].Lp, false);
+    C.advance(I);
+  }
+  EXPECT_EQ(C.verdict(), StreamVerdict::Violated) << "not in a quiet sweep";
+  StreamResult Res = C.finish();
+  ASSERT_TRUE(Res.violated()) << Res.Reason;
+  EXPECT_EQ(Res.Reason, "update happened too late: a packet trace entirely "
+                        "after " +
+                            N.event(0).str() +
+                            " is only consistent with an earlier "
+                            "configuration");
+  EXPECT_FALSE(
+      consistency::checkAgainstNes(Tr, Topo, N).Correct);
 }
 
 //===----------------------------------------------------------------------===//

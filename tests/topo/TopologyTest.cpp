@@ -3,7 +3,13 @@
 #include "topo/Builders.h"
 #include "topo/Configuration.h"
 
+#include "api/Api.h"
+#include "apps/Programs.h"
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace eventnet;
 using namespace eventnet::topo;
@@ -151,4 +157,94 @@ TEST(Configuration, TotalRules) {
   C.setTable(1, A);
   C.setTable(2, B);
   EXPECT_EQ(C.totalRules(), 3u);
+}
+
+namespace {
+
+api::Result<api::Compilation> compileApp(const apps::App &A) {
+  api::CompileOptions O;
+  if (A.Source.empty())
+    O.programAst(A.Ast);
+  else
+    O.programSource(A.Source);
+  return api::compile(std::move(O.topology(A.Topo)));
+}
+
+/// A random located packet over the fields and values the tables use, so
+/// rules match often enough to exercise every branch.
+Packet randomPacket(Rng &R, const std::vector<SwitchId> &Sws,
+                    const std::vector<std::pair<FieldId, Value>> &Pool) {
+  Packet P = makePacket({Sws[R.below(Sws.size())],
+                         static_cast<PortId>(1 + R.below(4))},
+                        {});
+  for (uint64_t K = R.below(6); K != 0; --K) {
+    auto [F, V] = Pool[R.below(Pool.size())];
+    if (F != FieldSw && F != FieldPt)
+      P.set(F, R.below(4) == 0 ? V + 1 : V);
+  }
+  return P;
+}
+
+} // namespace
+
+/// The in-place related/terminal predicates mean exactly the copy-based
+/// definitions: To is among step(From), and step(Lp) is empty. Checked
+/// over random packets for every configuration of the ring and firewall
+/// programs, with To drawn from step outputs, perturbed step outputs and
+/// unrelated packets.
+TEST(Configuration, InPlacePredicatesMatchStep) {
+  for (const apps::App &A : {apps::ringApp(8, 4), apps::firewallApp()}) {
+    auto C = compileApp(A);
+    ASSERT_TRUE(C.ok()) << A.Name << ": " << C.status().str();
+    const nes::Nes &N = C->structure();
+    std::vector<SwitchId> Sws(A.Topo.switches().begin(),
+                              A.Topo.switches().end());
+    std::vector<std::pair<FieldId, Value>> Pool = {{FieldPt, 1}};
+    for (unsigned S = 0; S != N.numSets(); ++S)
+      for (const auto &[Sw, T] : N.configOf(S).tables())
+        for (const flowtable::Rule &Ru : T.rules()) {
+          for (const auto &FV : Ru.Pattern.constraints())
+            Pool.push_back(FV);
+          for (const flowtable::ActionSeq &As : Ru.Actions)
+            Pool.insert(Pool.end(), As.begin(), As.end());
+        }
+    Rng R(7);
+    size_t Related = 0, Terminal = 0;
+    for (unsigned S = 0; S != N.numSets(); ++S) {
+      const Configuration &Cfg = N.configOf(S);
+      for (int I = 0; I != 2000; ++I) {
+        Packet From = randomPacket(R, Sws, Pool);
+        std::vector<Packet> Steps = Cfg.step(A.Topo, From);
+        ASSERT_EQ(Cfg.terminal(A.Topo, From), Steps.empty())
+            << A.Name << " set " << S << ": " << From.str();
+        Terminal += Steps.empty();
+        Packet To;
+        switch (R.below(3)) {
+        case 0:
+          To = Steps.empty() ? randomPacket(R, Sws, Pool)
+                             : Steps[R.below(Steps.size())];
+          break;
+        case 1: {
+          To = Steps.empty() ? From : Steps[R.below(Steps.size())];
+          auto [F, V] = Pool[R.below(Pool.size())];
+          if (R.below(2))
+            To.set(F, V);
+          else if (F != FieldSw && F != FieldPt)
+            To.erase(F);
+          break;
+        }
+        default:
+          To = randomPacket(R, Sws, Pool);
+        }
+        bool Expected = std::find(Steps.begin(), Steps.end(), To) != Steps.end();
+        ASSERT_EQ(Cfg.related(A.Topo, From, To), Expected)
+            << A.Name << " set " << S << ": " << From.str() << " -> "
+            << To.str();
+        Related += Expected;
+      }
+    }
+    // Both outcomes of both predicates were exercised.
+    EXPECT_GT(Related, 100u) << A.Name;
+    EXPECT_GT(Terminal, 100u) << A.Name;
+  }
 }
