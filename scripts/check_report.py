@@ -221,7 +221,7 @@ def main() -> None:
              "is false")
     if sc["enabled"]:
         sc_keys = ("verdict", "reason", "window", "entries_ingested",
-                   "entries_checked", "entries_pruned", "trees_retired",
+                   "entries_checked", "trees_retired",
                    "chains_retired", "events_observed", "peak_window",
                    "peak_resident_bytes", "stream_shed",
                    "differential_ran", "differential_matched")

@@ -14,7 +14,11 @@ promises end to end:
   * cross-substrate agreement — for plans whose faults are all
     content-addressed link faults (no controller storms, which only
     the engine ledgers), the engine and sim runs of the same plan must
-    agree on the ledger digest.
+    agree on the ledger digest;
+  * one verification path — engine cells run the streaming checker in
+    differential mode (the batch trace is built from the very stream
+    the streaming checker read), and check_report.py fails any cell
+    whose streaming and batch verdicts disagree.
 
 Exits non-zero on the first violation.
 """
@@ -86,6 +90,8 @@ def main() -> int:
                            "--backend", backend, "--seed", seed,
                            "--shards", args.shards, "--faults", plan_path,
                            "--overload", policy, "--fail-on-drop", "--json"]
+                    if backend == "engine":
+                        cmd += ["--stream-check", "--check-differential"]
                     report = run(cmd).stdout
                     check = subprocess.run(
                         [sys.executable, checker, "--backend", backend,
@@ -94,9 +100,13 @@ def main() -> int:
                     if check.returncode != 0:
                         fail(f"check_report rejected {plan_path} x {backend}"
                              f" x {policy} seed {seed}:\n{check.stderr}")
-                    sha = json.loads(report)["faults"]["ledger_sha"]
+                    parsed = json.loads(report)
+                    sha = parsed["faults"]["ledger_sha"]
                     cell = (f"{os.path.basename(plan_path)} x {backend} "
                             f"x {policy} x seed {seed}")
+                    if backend == "engine" and \
+                            not parsed["streaming_check"]["differential_ran"]:
+                        fail(f"{cell}: the differential check did not run")
 
                     # Determinism: the same cell re-run must reproduce the
                     # ledger byte for byte.

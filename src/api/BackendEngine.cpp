@@ -23,10 +23,6 @@ using namespace eventnet::api;
 
 namespace {
 
-LatencyReport toReport(const engine::LatencyDigest &D) {
-  return {D.Samples, D.MeanSec, D.P50Sec, D.P90Sec, D.P99Sec, D.MaxSec};
-}
-
 class EngineBackend : public Backend {
 public:
   const char *name() const override { return "engine"; }
@@ -59,23 +55,14 @@ public:
     Cfg.LatencyHistograms = O.LatencyHistograms;
     Cfg.TraceEventCapacity = O.TraceCapacity;
     Cfg.Overload = *Overload;
-    // Streaming verification trades the O(run) merged trace for the
-    // O(window) online checker; differential mode keeps both so the two
-    // verdicts can be compared.
-    Cfg.StreamTrace = O.StreamingCheck;
-    Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
+    detail::configureTrace(Cfg, O);
     if (Inj)
       Cfg.Faults = &*Inj;
     engine::Engine E(C.structure(), C.topology(), Cfg);
-
-    consistency::StreamOptions SO;
-    SO.Window = std::max<size_t>(1, O.CheckWindow);
-    // Quiet-horizon retirement must outlast fault-plan delays and deep
-    // shard backlogs (ticket gaps), or healthy chains get cut.
-    SO.QuietHorizon = std::max<uint64_t>(8192, SO.Window / 2);
     std::optional<detail::StreamCollector> Col;
     if (O.StreamingCheck)
-      Col.emplace(E, C.structure(), C.topology(), SO);
+      Col.emplace(E, C.structure(), C.topology(), detail::streamOptions(O),
+                  O.CheckDifferential);
 
     // Optional periodic metrics sampler: JSON-lines counter snapshots to
     // a file or stderr while the run is live.
@@ -101,60 +88,8 @@ public:
     if (Sampler)
       Sampler->stop(); // emits one final post-run sample
 
-    engine::Stats S = E.stats();
     RunReport R;
-    R.Shards = O.Shards;
-    R.Classifier = S.ClassifierPath;
-    R.Batch = S.BatchSize;
-    R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
-    R.EdgeCut = S.Partition.CutWeight;
-    R.EdgeTotal = S.Partition.TotalWeight;
-    R.Overload = engine::overloadPolicyName(*Overload);
-    for (const engine::ShardStats &SS : S.Shards)
-      R.ShardDetail.push_back(
-          {SS.PacketsProcessed, SS.QueueHighWater, SS.Dropped,
-           SS.Transitions, SS.Switches, SS.Shed});
-    R.PacketsInjected = S.PacketsInjected;
-    R.PacketsDelivered = S.PacketsDelivered;
-    R.PacketsDropped = S.PacketsDropped;
-    R.SwitchHops = S.PacketsProcessed;
-    R.EventsDetected = S.EventsDetected;
-    R.ConfigTransitions = S.ConfigTransitions;
-    R.ElapsedSec = S.ElapsedSec;
-    R.UpdateLatency = toReport(S.Transition);
-    R.QueueDwell = toReport(S.QueueDwell);
-    R.BatchOccupancy = toReport(S.BatchOccupancy);
-    R.TraceRecorded = S.TraceRecorded;
-    R.TraceDropped = S.TraceDropped;
-    if (Inj) {
-      R.Faults.Enabled = true;
-      R.Faults.Drops = S.FaultDrops;
-      R.Faults.Dups = S.FaultDups;
-      R.Faults.Delays = S.FaultDelays;
-      R.Faults.Shed = S.FaultSheds;
-      R.Faults.Stalls = S.FaultStalls;
-      R.Faults.Storms = S.FaultStorms;
-      R.Faults.DupDelivered = S.DupDelivered;
-      R.Faults.DupDropped = S.DupDropped;
-    }
-    // The checker context rides along even without a fault plan: a shed
-    // overload policy retires chains under plain pressure, and those
-    // tickets must be excusable for Definition 6 verification.
-    faults::FaultLedger L = E.takeFaultLedger();
-    if (Inj) {
-      R.Faults.LedgerEntries = L.Records.size();
-      R.Faults.Ledger = L.canonical();
-    }
-    R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
-    R.FaultCtx.DupEntries = std::move(L.DupEntries);
-    R.ObsTrace = E.takeObsTrace();
-    R.Trace = E.takeTrace();
-    if (Col) {
-      R.StreamCheck.Enabled = true;
-      R.StreamCheck.Window = SO.Window;
-      R.StreamCheck.Result = Col->finalize(S.TraceDropped);
-      R.StreamCheck.StreamShed = Col->lagShed();
-    }
+    detail::fillEngineReport(R, E, Col ? &*Col : nullptr, O, Inj.has_value());
     return R;
   }
 };

@@ -392,68 +392,6 @@ ReplayResult ReplayClient::run() {
 // Backend
 //===----------------------------------------------------------------------===//
 
-LatencyReport toReport(const engine::LatencyDigest &D) {
-  return {D.Samples, D.MeanSec, D.P50Sec, D.P90Sec, D.P99Sec, D.MaxSec};
-}
-
-/// Streaming-check knobs shared by the run backend and serveNet.
-consistency::StreamOptions streamOptions(const RunOptions &O) {
-  consistency::StreamOptions SO;
-  SO.Window = std::max<size_t>(1, O.CheckWindow);
-  // Quiet-horizon retirement must outlast fault-plan delays and deep
-  // shard backlogs (ticket gaps), or healthy chains get cut.
-  SO.QuietHorizon = std::max<uint64_t>(8192, SO.Window / 2);
-  return SO;
-}
-
-/// Engine-side report fields shared by the run backend and serveNet:
-/// counters, latency digests, fault summary, obs trace, network trace.
-void fillEngineSide(RunReport &R, engine::Engine &E, unsigned Shards,
-                    engine::OverloadPolicy Overload, bool FaultsEnabled) {
-  engine::Stats S = E.stats();
-  R.Shards = Shards;
-  R.Classifier = S.ClassifierPath;
-  R.Batch = S.BatchSize;
-  R.Partition = engine::partitionStrategyName(S.Partition.Strategy);
-  R.EdgeCut = S.Partition.CutWeight;
-  R.EdgeTotal = S.Partition.TotalWeight;
-  R.Overload = engine::overloadPolicyName(Overload);
-  for (const engine::ShardStats &SS : S.Shards)
-    R.ShardDetail.push_back({SS.PacketsProcessed, SS.QueueHighWater,
-                             SS.Dropped, SS.Transitions, SS.Switches,
-                             SS.Shed});
-  R.PacketsInjected = S.PacketsInjected;
-  R.PacketsDelivered = S.PacketsDelivered;
-  R.PacketsDropped = S.PacketsDropped;
-  R.SwitchHops = S.PacketsProcessed;
-  R.EventsDetected = S.EventsDetected;
-  R.ConfigTransitions = S.ConfigTransitions;
-  R.ElapsedSec = S.ElapsedSec;
-  R.UpdateLatency = toReport(S.Transition);
-  R.QueueDwell = toReport(S.QueueDwell);
-  R.BatchOccupancy = toReport(S.BatchOccupancy);
-  R.TraceRecorded = S.TraceRecorded;
-  R.TraceDropped = S.TraceDropped;
-  if (FaultsEnabled) {
-    R.Faults.Enabled = true;
-    R.Faults.Drops = S.FaultDrops;
-    R.Faults.Dups = S.FaultDups;
-    R.Faults.Delays = S.FaultDelays;
-    R.Faults.Shed = S.FaultSheds;
-    R.Faults.Stalls = S.FaultStalls;
-    R.Faults.Storms = S.FaultStorms;
-    R.Faults.DupDelivered = S.DupDelivered;
-    R.Faults.DupDropped = S.DupDropped;
-    faults::FaultLedger L = E.takeFaultLedger();
-    R.Faults.LedgerEntries = L.Records.size();
-    R.Faults.Ledger = L.canonical();
-    R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
-    R.FaultCtx.DupEntries = std::move(L.DupEntries);
-  }
-  R.ObsTrace = E.takeObsTrace();
-  R.Trace = E.takeTrace();
-}
-
 /// Socket-side report fields from the server's counter snapshot.
 void fillNetSide(NetReport &N, const net::ServerStats &NS, bool Udp) {
   N.Enabled = true;
@@ -536,15 +474,14 @@ public:
     Cfg.TraceEventCapacity = O.TraceCapacity;
     Cfg.Overload = *Overload;
     Cfg.DeliverySink = Srv.deliverySink();
-    Cfg.StreamTrace = O.StreamingCheck;
-    Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
+    detail::configureTrace(Cfg, O);
     if (Inj)
       Cfg.Faults = &*Inj;
     engine::Engine E(C.structure(), C.topology(), Cfg);
-    consistency::StreamOptions SO = streamOptions(O);
     std::optional<detail::StreamCollector> Col;
     if (O.StreamingCheck)
-      Col.emplace(E, C.structure(), C.topology(), SO);
+      Col.emplace(E, C.structure(), C.topology(), detail::streamOptions(O),
+                  O.CheckDifferential);
     Srv.attach(E);
     E.start();
 
@@ -564,13 +501,7 @@ public:
     E.finish();
 
     RunReport R;
-    fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
-    if (Col) {
-      R.StreamCheck.Enabled = true;
-      R.StreamCheck.Window = SO.Window;
-      R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-      R.StreamCheck.StreamShed = Col->lagShed();
-    }
+    detail::fillEngineReport(R, E, Col ? &*Col : nullptr, O, Inj.has_value());
     fillNetSide(R.Net, Srv.stats(), O.NetUdp);
     R.Net.Port = Srv.port();
     R.Net.Connections = RR.Connected;
@@ -635,15 +566,14 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   Cfg.TraceEventCapacity = O.TraceCapacity;
   Cfg.Overload = *Overload;
   Cfg.DeliverySink = Srv.deliverySink();
-  Cfg.StreamTrace = O.StreamingCheck;
-  Cfg.RecordTrace = !O.StreamingCheck || O.CheckDifferential;
+  detail::configureTrace(Cfg, O);
   if (Inj)
     Cfg.Faults = &*Inj;
   engine::Engine E(C.structure(), C.topology(), Cfg);
-  consistency::StreamOptions SO = streamOptions(O);
-  std::optional<api::detail::StreamCollector> Col;
+  std::optional<detail::StreamCollector> Col;
   if (O.StreamingCheck)
-    Col.emplace(E, C.structure(), C.topology(), SO);
+    Col.emplace(E, C.structure(), C.topology(), detail::streamOptions(O),
+                O.CheckDifferential);
   Srv.attach(E);
   E.start();
 
@@ -675,45 +605,11 @@ Result<RunReport> serveNet(const Compilation &C, const RunOptions &O,
   RunReport R;
   R.Backend = "net";
   R.Seed = O.Seed;
-  fillEngineSide(R, E, O.Shards, *Overload, Inj.has_value());
-  if (Col) {
-    R.StreamCheck.Enabled = true;
-    R.StreamCheck.Window = SO.Window;
-    R.StreamCheck.Result = Col->finalize(R.TraceDropped);
-    R.StreamCheck.StreamShed = Col->lagShed();
-  }
+  detail::fillEngineReport(R, E, Col ? &*Col : nullptr, O, Inj.has_value());
   fillNetSide(R.Net, Srv.stats(), S.Udp);
   R.Net.Port = Srv.port();
   R.Net.Connections = R.Net.Accepted;
-
-  DropAudit &A = R.Audit;
-  A.Injected = R.PacketsInjected;
-  A.Delivered = R.PacketsDelivered;
-  A.Dropped = R.PacketsDropped;
-  uint64_t EffDelivered = A.Delivered > R.Faults.DupDelivered
-                              ? A.Delivered - R.Faults.DupDelivered
-                              : 0;
-  uint64_t EffDropped =
-      A.Dropped > R.Faults.DupDropped ? A.Dropped - R.Faults.DupDropped : 0;
-  uint64_t Accounted = EffDelivered + EffDropped;
-  A.SilentLoss = A.Injected > Accounted ? A.Injected - Accounted : 0;
-  A.Ok = A.SilentLoss == 0;
-
-  // Streaming-only runs keep no merged trace (the batch replay would
-  // pass vacuously); in differential mode both run and are compared.
-  if (O.CheckConsistency && (!R.StreamCheck.Enabled || O.CheckDifferential)) {
-    R.Checked = true;
-    R.Consistency = consistency::checkAgainstNes(
-        R.Trace, C.topology(), C.structure(),
-        R.Faults.Enabled ? &R.FaultCtx : nullptr);
-    if (R.StreamCheck.Enabled) {
-      R.StreamCheck.DifferentialRan = true;
-      if (R.StreamCheck.Result.Verdict !=
-          consistency::StreamVerdict::Inconclusive)
-        R.StreamCheck.DifferentialMatched =
-            R.StreamCheck.Result.ok() == R.Consistency.Correct;
-    }
-  }
+  detail::verifyReport(R, C, O);
   return R;
 }
 

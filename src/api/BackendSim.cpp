@@ -73,7 +73,6 @@ public:
       R.Faults.LedgerEntries = L.Records.size();
       R.Faults.Ledger = L.canonical();
       R.FaultCtx.ExcusedEntries = std::move(L.ExcusedEntries);
-      R.FaultCtx.DupEntries = std::move(L.DupEntries);
     }
     R.SwitchHops = Sim.switchHops();
     for (nes::EventId E = 0; E != C.structure().numEvents(); ++E)

@@ -179,9 +179,11 @@ public:
   /// entries. Exceeding it degrades the verdict to inconclusive rather
   /// than growing without bound.
   size_t CheckWindow = 1 << 16;
-  /// With StreamingCheck: ALSO record the full trace and run the batch
-  /// checker, then report whether the two verdicts agree — the
-  /// end-to-end differential harness for the streaming checker.
+  /// With StreamingCheck: the collector also keeps every item it feeds
+  /// the streaming checker and builds the batch trace from them, the
+  /// batch checker runs on it, and the report says whether the two
+  /// verdicts agree — the end-to-end differential harness for the
+  /// streaming checker. Both verdicts read the same records.
   bool CheckDifferential = false;
   /// Engine backend: classifier-program fast path (true) or the
   /// flattened-FDD-walk oracle (false).
@@ -376,8 +378,9 @@ struct RunReport {
 
   /// Fault-injection summary (Enabled false when no plan was active).
   FaultReport Faults;
-  /// Ledger annotations for the Definition 6 checker (excused and
-  /// duplicate trace entries); consumed by Run::execute.
+  /// Ledger annotations for the Definition 6 checker (excused trace
+  /// entries, from fault plans and overload sheds alike); consumed by
+  /// detail::verifyReport.
   consistency::FaultContext FaultCtx;
 
   /// obs event-trace totals and the merged timeline (engine backend
@@ -470,6 +473,16 @@ struct ServeNetOptions {
   /// how callers learn an ephemeral bind before the loop blocks.
   std::function<void(uint16_t)> OnListening;
 };
+
+namespace detail {
+
+/// The backend-independent end of a run, shared by Run::execute and
+/// serveNet: the packet-conservation audit, the batch Definition 6
+/// replay of R.Trace (with R.FaultCtx whenever it is nonempty), and the
+/// streaming-vs-batch differential comparison.
+void verifyReport(RunReport &R, const Compilation &C, const RunOptions &O);
+
+} // namespace detail
 
 /// Serves real clients: binds the net front-end (net/Server.h) over a
 /// live engine and runs until \p O.StopFlag is set (e.g. net/Signal.h

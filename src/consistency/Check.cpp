@@ -200,35 +200,11 @@ CheckResult consistency::checkAgainstNes(const NetworkTrace &Tr,
                                          const FaultContext *Faults) {
   if (!Faults || Faults->empty())
     return checkAgainstNesImpl(Tr, Topo, N, nullptr);
-
-  // Prune injected-duplicate subtrees: a dup entry and everything that
-  // descends from it are the fault's copies, not the program's behavior.
-  // Parents always precede children, so one forward pass suffices.
-  const auto &Entries = Tr.entries();
-  std::vector<bool> Pruned(Entries.size(), false);
-  for (int I : Faults->DupEntries)
-    if (I >= 0 && static_cast<size_t>(I) < Pruned.size())
-      Pruned[I] = true;
-  for (size_t I = 0; I != Entries.size(); ++I)
-    if (!Pruned[I] && Entries[I].Parent >= 0 && Pruned[Entries[I].Parent])
-      Pruned[I] = true;
-
-  NetworkTrace Surviving;
-  std::vector<int> Remap(Entries.size(), -1);
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    if (Pruned[I])
-      continue;
-    TraceEntry E = Entries[I];
-    E.Parent = E.Parent >= 0 ? Remap[E.Parent] : -1;
-    Remap[I] = Surviving.append(std::move(E));
-  }
-
-  std::vector<bool> Excused(Surviving.size(), false);
+  std::vector<bool> Excused(Tr.size(), false);
   for (int I : Faults->ExcusedEntries)
-    if (I >= 0 && static_cast<size_t>(I) < Remap.size() && Remap[I] >= 0)
-      Excused[Remap[I]] = true;
-
-  return checkAgainstNesImpl(Surviving, Topo, N, &Excused);
+    if (I >= 0 && static_cast<size_t>(I) < Excused.size())
+      Excused[I] = true;
+  return checkAgainstNesImpl(Tr, Topo, N, &Excused);
 }
 
 namespace {

@@ -54,18 +54,17 @@ struct CheckResult {
 
 /// Trace annotations from a fault-injection ledger (faults/FaultPlan.h),
 /// letting the checkers verify Definition 6 on the *surviving* trace:
-/// duplicate subtrees are pruned before checking, and chains truncated by
-/// a ledgered drop/shed are held to prefix membership instead of maximal
-/// membership. Unledgered truncations still fail — that is the point:
-/// injected loss is excused, silent loss is not.
+/// chains truncated by a ledgered drop/shed are held to prefix
+/// membership instead of maximal membership. Unledgered truncations
+/// still fail — that is the point: injected loss is excused, silent loss
+/// is not. Injected duplicates need no annotation: a copy is a packet
+/// like any other (it can trigger events), so its subtree is checked.
 struct FaultContext {
   /// Trace-entry indices after which the packet trace may legitimately
   /// end (the entry's egress was dropped or its message shed).
   std::vector<int> ExcusedEntries;
-  /// Trace-entry indices that root an injected duplicate subtree.
-  std::vector<int> DupEntries;
 
-  bool empty() const { return ExcusedEntries.empty() && DupEntries.empty(); }
+  bool empty() const { return ExcusedEntries.empty(); }
 };
 
 /// An update sequence U = C0 -e0-> C1 -e1-> ... -en-> Cn+1. Events are
@@ -96,8 +95,8 @@ CheckResult checkUpdateSequence(const NetworkTrace &Tr,
 
 /// Checks Definition 6: the trace is correct w.r.t. \p N if some allowed
 /// event sequence makes it an event-driven consistent update. With a
-/// \p Faults ledger, duplicates are pruned and ledgered truncations
-/// excused first (see FaultContext).
+/// \p Faults ledger, ledgered truncations are excused (see
+/// FaultContext).
 CheckResult checkAgainstNes(const NetworkTrace &Tr,
                             const topo::Topology &Topo, const nes::Nes &N,
                             const FaultContext *Faults = nullptr);

@@ -197,7 +197,7 @@ void StreamChecker::evictIfSparse(Chunk *C) {
 }
 
 void StreamChecker::stage(Chunk *C, Slot &S, int64_t Parent,
-                          const Packet &Lp, bool IsDup) {
+                          const Packet &Lp) {
   S = Slot{};
   S.Parent = Parent;
   S.FieldOff = (uint32_t)C->Fields.size();
@@ -206,7 +206,6 @@ void StreamChecker::stage(Chunk *C, Slot &S, int64_t Parent,
   C->Fields.insert(C->Fields.end(), Lp.fields().begin(), Lp.fields().end());
   FieldBytes += (C->Fields.capacity() - Cap) *
                 sizeof(netkat::PacketView::Field);
-  S.Flags = IsDup ? FlagDup : 0;
   S.State = Pending;
   ++C->Used;
   ++SlabPending;
@@ -290,7 +289,7 @@ void StreamChecker::trackPeaks() {
 
 void StreamChecker::feedEntry(uint64_t Ticket, int64_t Parent,
                               const Packet &Lp, bool /*IsDelivery*/,
-                              bool IsDup) {
+                              bool /*IsDup*/) {
   // Delivery is read off the topology at retirement (a host port with no
   // outgoing link), so the flag is not stored.
   if (Finished)
@@ -305,12 +304,12 @@ void StreamChecker::feedEntry(uint64_t Ticket, int64_t Parent,
       C = makeChunk(Ticket >> ChunkShift);
     Slot &S = C->Slots[Ticket & SlotMask];
     if (S.State == Empty) {
-      stage(C, S, Parent, Lp, IsDup);
+      stage(C, S, Parent, Lp);
       return;
     }
   }
   LateFieldBytes += Lp.fields().size() * sizeof(netkat::PacketView::Field);
-  Late.push(PendItem{Ticket, Parent, Lp, IsDup});
+  Late.push(PendItem{Ticket, Parent, Lp});
 }
 
 void StreamChecker::feedExcuse(uint64_t Ticket) {
@@ -325,7 +324,7 @@ void StreamChecker::feedExcuse(uint64_t Ticket) {
     return;
   }
   if (isPruned(Ticket))
-    return; // an excused hop inside a pruned duplicate subtree
+    return; // an excused hop inside a pruned orphan fragment
   // The excused entry already retired (or was cut by the window): its
   // chain was finalized under maximal membership instead of prefix
   // membership, so the verdict may be too strict — degrade, never guess.
@@ -388,7 +387,7 @@ void StreamChecker::commitUpTo(uint64_t W) {
       C = makeChunk(It.Ticket >> ChunkShift);
     Slot &S = C->Slots[It.Ticket & SlotMask];
     assert(S.State == Empty);
-    stage(C, S, It.Parent, It.Lp, It.IsDup);
+    stage(C, S, It.Parent, It.Lp);
     commit(It.Ticket);
   }
 }
@@ -430,14 +429,10 @@ void StreamChecker::commit(uint64_t Ticket) {
     return;
   }
 
-  // Ledgered-duplicate subtrees are excluded from the surviving trace —
-  // from the chains, the per-switch order, and the witness extraction —
-  // exactly as checkAgainstNes prunes before checking.
-  bool ParentPruned = S.Parent >= 0 && !PrunedOrder.empty() &&
-                      isPruned((uint64_t)S.Parent);
-  if ((S.Flags & FlagDup) || ParentPruned) {
+  // Descendants of a pruned orphan fragment (below) are excluded with it.
+  if (S.Parent >= 0 && !PrunedOrder.empty() &&
+      isPruned((uint64_t)S.Parent)) {
     prune(Ticket);
-    ++St.EntriesPruned;
     dropNode(Ticket);
     return;
   }
@@ -920,19 +915,14 @@ StreamResult consistency::streamCheckTrace(const NetworkTrace &Tr,
                                            StreamOptions O) {
   StreamChecker C(N, Topo, O);
   const auto &Entries = Tr.entries();
-  std::vector<bool> Dup(Entries.size(), false);
   std::vector<bool> Exc(Entries.size(), false);
-  if (Faults) {
-    for (int I : Faults->DupEntries)
-      if (I >= 0 && (size_t)I < Dup.size())
-        Dup[I] = true;
+  if (Faults)
     for (int I : Faults->ExcusedEntries)
       if (I >= 0 && (size_t)I < Exc.size())
         Exc[I] = true;
-  }
   for (size_t I = 0; I != Entries.size(); ++I) {
     C.feedEntry(I, Entries[I].Parent, Entries[I].Lp,
-                Entries[I].IsDelivery, Dup[I]);
+                Entries[I].IsDelivery);
     if (Exc[I])
       C.feedExcuse(I);
     C.advance(I); // commit as we go: exercises the online path

@@ -140,9 +140,8 @@ struct StreamOptions {
 };
 
 struct StreamStats {
-  uint64_t EntriesIngested = 0; ///< fed (incl. buffered and pruned)
+  uint64_t EntriesIngested = 0; ///< fed (incl. buffered)
   uint64_t EntriesChecked = 0;  ///< committed in ticket order
-  uint64_t EntriesPruned = 0;   ///< ledgered-duplicate subtree entries
   uint64_t TreesRetired = 0;
   uint64_t ChainsRetired = 0;   ///< root-to-leaf paths finalized
   uint64_t EventsObserved = 0;  ///< witness sequence length
@@ -179,8 +178,9 @@ public:
   StreamChecker &operator=(const StreamChecker &) = delete;
 
   /// Buffers one trace entry. \p Parent is the parent entry's ticket or
-  /// -1 for a chain root; \p IsDup marks the root of a ledgered
-  /// duplicate subtree (pruned, like the batch checker's FaultContext).
+  /// -1 for a chain root. \p IsDelivery and \p IsDup do not affect the
+  /// verdict: delivery is read off the topology, and a fault-plan
+  /// duplicate is a packet like any other, so its subtree is checked.
   void feedEntry(uint64_t Ticket, int64_t Parent, const netkat::Packet &Lp,
                  bool IsDelivery, bool IsDup = false);
 
@@ -224,7 +224,7 @@ private:
   static constexpr uint64_t NoTicket = ~uint64_t(0);
 
   enum SlotState : uint8_t { Empty = 0, Pending = 1, Live = 2 };
-  enum SlotFlag : uint8_t { FlagDup = 1, FlagExcused = 2 };
+  enum SlotFlag : uint8_t { FlagExcused = 1 };
 
   /// One trace entry, at its ticket's slot. Pending: fed, not yet
   /// committed. Live: committed and unretired, a node of its tree.
@@ -295,7 +295,6 @@ private:
     uint64_t Ticket;
     int64_t Parent;
     netkat::Packet Lp;
-    bool IsDup;
   };
   struct PendLater {
     bool operator()(const PendItem &A, const PendItem &B) const {
@@ -320,8 +319,7 @@ private:
   /// Moves the live nodes of a sparse chunk wholly behind RetireCursor
   /// into Strays, so an old tree does not pin a mostly dead chunk.
   void evictIfSparse(Chunk *C);
-  void stage(Chunk *C, Slot &S, int64_t Parent, const netkat::Packet &Lp,
-             bool IsDup);
+  void stage(Chunk *C, Slot &S, int64_t Parent, const netkat::Packet &Lp);
   /// Next pending slab ticket <= \p W, or NoTicket; moves ScanCursor.
   uint64_t nextPending(uint64_t W);
   void commitUpTo(uint64_t W);
@@ -380,8 +378,9 @@ private:
   std::vector<uint64_t> QuietRoots;
   std::vector<std::pair<uint64_t, NodeRef>> Path; ///< retiring chain, leaf first
 
-  // Ledgered-duplicate pruning: committed tickets whose subtree is
-  // excluded, ascending (commit order), evicted after the quiet horizon.
+  // Orphan pruning: committed tickets whose subtree is excluded because
+  // the window evicted an ancestor, ascending (commit order), evicted
+  // after the quiet horizon.
   std::deque<uint64_t> PrunedOrder;
 
   // Excusals that arrived before their entry.

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace eventnet;
 using namespace eventnet::engine;
@@ -61,6 +60,12 @@ Engine::Engine(const nes::Nes &N, const topo::Topology &Topo,
       Compiled(N, Idx), Epochs(8) {
   if (C.NumShards == 0)
     C.NumShards = 1;
+  // One trace channel, one consumer: either the engine keeps the whole
+  // stream (RecordTrace) or an external collector drains it.
+  assert(!(C.RecordTrace && C.StreamTrace) &&
+         "RecordTrace and StreamTrace are exclusive");
+  if (C.StreamTrace)
+    C.RecordTrace = false;
   if (C.BatchSize == 0)
     C.BatchSize = 1;
   if (C.Faults && C.Faults->plan().QueueCapacityClamp)
@@ -200,16 +205,19 @@ void Engine::buildSubscriptions() {
 // Trace recording
 //===----------------------------------------------------------------------===//
 
+// A hop costs one StreamItem push; the tag rides in the padding after
+// the two flags, so recording it did not grow the item.
+static_assert(sizeof(Engine::StreamItem) ==
+                  4 * sizeof(uint64_t) + sizeof(netkat::Packet),
+              "StreamItem grew");
+
 int64_t Engine::logEntry(Shard &S, const Packet &Lp, int64_t Parent,
                          bool IsDelivery, nes::SetId Tag) {
-  if (!C.RecordTrace && !C.StreamTrace)
+  if (!tracing())
     return -1;
   uint64_t Ticket = Tickets.fetch_add(1);
-  if (C.RecordTrace)
-    S.Trace.push_back({Ticket, Parent, Lp, IsDelivery, Tag});
-  if (C.StreamTrace)
-    S.StreamPending.push_back(
-        {StreamItem::Entry, Ticket, Parent, Lp, IsDelivery, false});
+  S.StreamPending.push_back(
+      {StreamItem::Entry, Ticket, Parent, Lp, IsDelivery, false, Tag});
   return static_cast<int64_t>(Ticket);
 }
 
@@ -233,10 +241,10 @@ uint64_t Engine::drainTraceStream(std::vector<StreamItem> &Out) {
       // Shed excusals are written by arbitrary producer threads under
       // the overflow lock; surface them as Excuse items.
       std::lock_guard<std::mutex> Lock(S->OverflowMu);
-      for (int64_t T : S->ShedStream)
+      for (int64_t T : S->ShedTickets)
         Out.push_back({StreamItem::Excuse, static_cast<uint64_t>(T), -1,
-                       Packet(), false, false});
-      S->ShedStream.clear();
+                       Packet(), false, false, 0});
+      S->ShedTickets.clear();
     }
   }
   return W == UINT64_MAX ? 0 : W;
@@ -258,6 +266,51 @@ uint64_t Engine::streamBacklog() {
     Backlog += S->StreamBuf.size();
   }
   return Backlog;
+}
+
+Engine::BatchTrace Engine::buildBatchTrace(std::vector<StreamItem> Items) {
+  // Ticket order is a legal global interleaving: per-switch order is each
+  // owner's processing order (a switch's entries all come from one
+  // thread, ticketed in program order), and a parent's ticket precedes
+  // its children's (children are ticketed after the parent's enqueue).
+  auto Excuses = std::partition(
+      Items.begin(), Items.end(),
+      [](const StreamItem &It) { return It.K == StreamItem::Entry; });
+  std::sort(Items.begin(), Excuses,
+            [](const StreamItem &A, const StreamItem &B) {
+              return A.Ticket < B.Ticket;
+            });
+  // Tickets -> trace indices by binary search over the sorted entries.
+  auto IndexOf = [&](uint64_t Ticket) {
+    auto It = std::lower_bound(Items.begin(), Excuses, Ticket,
+                               [](const StreamItem &A, uint64_t T) {
+                                 return A.Ticket < T;
+                               });
+    return It != Excuses && It->Ticket == Ticket
+               ? static_cast<int>(It - Items.begin())
+               : -1;
+  };
+
+  BatchTrace B;
+  B.Tags.reserve(static_cast<size_t>(Excuses - Items.begin()));
+  for (auto It = Items.begin(); It != Excuses; ++It) {
+    consistency::TraceEntry E;
+    E.Lp = std::move(It->Lp);
+    E.IsDelivery = It->IsDelivery;
+    if (It->Parent >= 0) {
+      E.Parent = IndexOf(static_cast<uint64_t>(It->Parent));
+      assert(E.Parent >= 0 && "parent missing from the stream");
+    }
+    B.Trace.append(std::move(E));
+    B.Tags.push_back(It->Tag);
+  }
+  for (auto It = Excuses; It != Items.end(); ++It)
+    if (int I = IndexOf(It->Ticket); I >= 0)
+      B.Excused.push_back(I);
+  std::sort(B.Excused.begin(), B.Excused.end());
+  B.Excused.erase(std::unique(B.Excused.begin(), B.Excused.end()),
+                  B.Excused.end());
+  return B;
 }
 
 //===----------------------------------------------------------------------===//
@@ -334,11 +387,8 @@ void Engine::shedLocked(Shard &Dst, Msg &M) {
     if (M.P.FromDup)
       DupDropped.add();
     // The hop's egress entry is now a chain leaf; excuse it.
-    if (M.P.Parent >= 0) {
+    if (M.P.Parent >= 0)
       Dst.ShedTickets.push_back(M.P.Parent);
-      if (C.StreamTrace)
-        Dst.ShedStream.push_back(M.P.Parent);
-    }
   } else if (M.K == Msg::Inject) {
     Injected.add();
   }
@@ -441,13 +491,10 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
     // which the ledger excuses for the checker.
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Drop, At.Sw, At.Pt, Out));
-    if (P.Parent >= 0) {
-      S.ExcusedTickets.push_back(P.Parent);
-      if (C.StreamTrace)
-        S.StreamPending.push_back({StreamItem::Excuse,
-                                   static_cast<uint64_t>(P.Parent), -1,
-                                   Packet(), false, false});
-    }
+    if (P.Parent >= 0)
+      S.StreamPending.push_back({StreamItem::Excuse,
+                                 static_cast<uint64_t>(P.Parent), -1,
+                                 Packet(), false, false, 0});
     Dropped.add();
     S.Dropped.add();
     FaultDrops.add();
@@ -498,15 +545,12 @@ void Engine::forwardOut(Shard &S, const EnginePacket &P, uint32_t AtDense,
   Forwarded.add();
 
   if (FA == faults::Action::Dup) {
-    // Second copy with its own egress entry (the trace stays a tree);
-    // the ledger marks that entry so the checker prunes the duplicate
-    // subtree before verifying Definition 6.
+    // Second copy with its own egress entry (the trace stays a tree).
+    // The copy is a packet like any other: it can trigger events, and
+    // the checkers verify its subtree.
     int64_t DupTicket = logEntry(S, Out, P.Parent, false, P.Tag);
-    if (DupTicket >= 0) {
-      S.DupTickets.push_back(DupTicket);
-      if (C.StreamTrace)
-        S.StreamPending.back().IsDup = true; // the entry just logged
-    }
+    if (DupTicket >= 0)
+      S.StreamPending.back().IsDup = true; // the entry just logged
     FillHop(S.OutBufs[DstShard].next(), DupTicket, /*FromDup=*/true);
     S.FaultRecs.push_back(
         faults::Injector::recordAt(faults::FaultKind::Dup, At.Sw, At.Pt, Out));
@@ -965,7 +1009,12 @@ void Engine::workerLoop(unsigned ShardIdx) {
   // thread draws a ticket >= the stored value, so "no entry below the
   // watermark is still unpublished by this shard" holds by construction.
   auto FlushStream = [&] {
-    if (!S.StreamPending.empty()) {
+    if (C.RecordTrace) {
+      // A recording engine is its own collector and keeps everything;
+      // this is its one flush, at exit.
+      std::lock_guard<std::mutex> Lock(S.StreamMu);
+      S.StreamBuf.swap(S.StreamPending);
+    } else if (!S.StreamPending.empty()) {
       std::lock_guard<std::mutex> Lock(S.StreamMu);
       // Bounded hand-off: a lagging collector must cost shed entries
       // (counted, verdict-degrading), never memory that grows with the
@@ -1019,7 +1068,7 @@ void Engine::workerLoop(unsigned ShardIdx) {
     S.IdleSleeps.add();
     SleepUs = std::min(SleepUs * 2, C.IdleSleepUs);
   }
-  if (C.StreamTrace) {
+  if (tracing()) {
     // This shard will never log again: flush the tail and lift the
     // shard's watermark out of every future min.
     FlushStream();
@@ -1202,31 +1251,12 @@ void Engine::run(const Workload &W) {
 }
 
 void Engine::mergeResults() {
-  // Global trace: sort shard-local records by ticket. Per-switch order
-  // equals each owner's processing order (a switch's entries all come
-  // from one thread, ticketed in program order) and a parent's ticket
-  // precedes its children's (children are ticketed after the parent's
-  // enqueue), so the merged log is a legal interleaving for the
-  // happens-before derivation.
-  std::vector<const TraceRec *> All;
-  for (auto &S : Shards)
-    for (const TraceRec &R : S->Trace)
-      All.push_back(&R);
-  std::sort(All.begin(), All.end(),
-            [](const TraceRec *A, const TraceRec *B) {
-              return A->Ticket < B->Ticket;
-            });
-
-  std::unordered_map<uint64_t, int> IndexOf;
-  IndexOf.reserve(All.size());
-  for (const TraceRec *R : All) {
-    consistency::TraceEntry E;
-    E.Lp = R->Lp;
-    E.IsDelivery = R->IsDelivery;
-    E.Parent =
-        R->Parent < 0 ? -1 : IndexOf.at(static_cast<uint64_t>(R->Parent));
-    IndexOf.emplace(R->Ticket, MergedTrace.append(std::move(E)));
-    MergedTags.push_back(R->Tag);
+  // The recording engine is its own stream collector: the workers have
+  // flushed their tails, so one drain holds every item of the run.
+  if (C.RecordTrace) {
+    std::vector<StreamItem> Items;
+    drainTraceStream(Items);
+    Recorded = buildBatchTrace(std::move(Items));
   }
 
   // Learn times: merge the per-shard monotonic stamps and derive the
@@ -1240,41 +1270,18 @@ void Engine::mergeResults() {
           Key, static_cast<double>(LearnAt - Base) * 1e-9);
   }
 
-  // Fault ledger: collect the per-shard records (owner-written, read
-  // post-join) and remap the excused/duplicate tickets into merged
-  // trace indices for the checker. The record multiset is content-
-  // addressed, so its canonical form reproduces run to run; the index
-  // lists are run-local annotations. Shed tickets are ledgered even
-  // without a fault plan: a shed overload policy retires chains under
-  // plain pressure too, and the checker needs their excusal context
-  // either way.
-  for (auto &S : Shards) {
-    if (C.Faults)
-      Ledger.Records.insert(Ledger.Records.end(), S->FaultRecs.begin(),
-                            S->FaultRecs.end());
-    // The index lists translate tickets into merged-trace positions;
-    // without a merged trace (stream-only mode) there is nothing to
-    // translate into — the stream items carried the excusals already.
-    if (!C.RecordTrace)
-      continue;
-    if (C.Faults) {
-      for (int64_t T : S->ExcusedTickets)
-        Ledger.ExcusedEntries.push_back(
-            IndexOf.at(static_cast<uint64_t>(T)));
-      for (int64_t T : S->DupTickets)
-        Ledger.DupEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
-    }
-    for (int64_t T : S->ShedTickets)
-      Ledger.ExcusedEntries.push_back(IndexOf.at(static_cast<uint64_t>(T)));
-  }
+  // Fault ledger: the per-shard records (owner-written, read post-join)
+  // plus the excused trace indices. The record multiset is content-
+  // addressed, so its canonical form reproduces run to run; the indices
+  // are run-local annotations. They include overload sheds, which
+  // happen without a fault plan too: the checker needs their excusal
+  // context either way.
+  for (auto &S : Shards)
+    Ledger.Records.insert(Ledger.Records.end(), S->FaultRecs.begin(),
+                          S->FaultRecs.end());
   Ledger.Records.insert(Ledger.Records.end(), StormRecs.begin(),
                         StormRecs.end());
-  auto Uniq = [](std::vector<int> &V) {
-    std::sort(V.begin(), V.end());
-    V.erase(std::unique(V.begin(), V.end()), V.end());
-  };
-  Uniq(Ledger.ExcusedEntries);
-  Uniq(Ledger.DupEntries);
+  Ledger.ExcusedEntries = std::move(Recorded.Excused);
 
   // Obs timeline: concatenate the per-shard rings (post-join, so every
   // slot write happens-before this read) and sort into one time base.

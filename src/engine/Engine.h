@@ -25,12 +25,16 @@
 ///    monitors) are RCU-style lock-free, and old views are retired
 ///    through an epoch domain (engine/Rcu.h).
 ///
-/// Shard-local trace entries carry tickets from a global atomic counter;
-/// run() merges them into a consistency::NetworkTrace whose log order is
-/// a legal global interleaving (per-switch order is the owner's real
-/// processing order; a parent's ticket always precedes its children's),
-/// so the Definition 6 checker applies to concurrent executions exactly
-/// as it does to the sequential Machine and Simulation.
+/// One trace channel: each hop is recorded once, as a StreamItem on its
+/// shard's watermarked stream, ticketed from a global atomic counter
+/// (per-switch order is the owner's real processing order; a parent's
+/// ticket always precedes its children's). Fault drops and overload
+/// sheds ride the same stream as Excuse items. An external collector
+/// drains it live (StreamTrace: the streaming Definition 6 checker), or
+/// finish() drains it itself (RecordTrace) and buildBatchTrace() sorts
+/// it by ticket into a consistency::NetworkTrace, so the batch checker
+/// applies to concurrent executions exactly as it does to the
+/// sequential Machine and Simulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,25 +140,27 @@ struct EngineConfig {
   bool FastUpdates = true;
   /// Hosts answer echo requests in-engine (KindRequest -> KindReply).
   bool EchoReplies = true;
-  /// Record the network trace for the consistency checkers. Turn off
-  /// for pure-throughput benchmarking.
+  /// Keep the whole trace stream and build the batch view at finish():
+  /// trace(), traceTags() and the ledger's excused indices. The engine
+  /// is its own collector, so nothing is ever shed. Turn off for
+  /// pure-throughput benchmarking. Exclusive with StreamTrace (asserted;
+  /// release builds let StreamTrace win).
   bool RecordTrace = true;
-  /// Stream trace entries to an external collector during the run
-  /// (drainTraceStream) instead of — or, for differential testing, in
-  /// addition to — accumulating the merged trace. The streaming
-  /// Definition 6 checker rides this: verification memory stays
-  /// O(window) no matter how long the run is. With RecordTrace off and
-  /// StreamTrace on, mergeResults keeps no trace and the fault ledger's
-  /// merged-trace indices stay empty (stream items carry the excusals).
+  /// Hand the trace stream to an external collector during the run
+  /// (drainTraceStream). The streaming Definition 6 checker rides this:
+  /// verification memory stays O(window) no matter how long the run is.
+  /// The engine keeps no trace of its own; a collector that needs the
+  /// batch view too (differential testing) keeps what it drains and
+  /// passes it to buildBatchTrace().
   bool StreamTrace = false;
-  /// Per-shard cap on buffered stream items awaiting the collector
-  /// (StreamBuf). A collector that falls behind the data path (e.g. the
-  /// single-threaded streaming checker on an oversubscribed machine)
-  /// must not grow the buffer with the horizon: past the cap the shard
-  /// sheds the overflow, counts it (streamLagShed), and the checker
-  /// reports inconclusive — the run's memory and exit latency stay
-  /// bounded, the verdict degrades honestly, and the data path never
-  /// blocks on verification.
+  /// StreamTrace only: per-shard cap on buffered stream items awaiting
+  /// the collector (StreamBuf). A collector that falls behind the data
+  /// path (e.g. the single-threaded streaming checker on an
+  /// oversubscribed machine) must not grow the buffer with the horizon:
+  /// past the cap the shard sheds the overflow, counts it
+  /// (streamLagShed), and the checker reports inconclusive — the run's
+  /// memory and exit latency stay bounded, the verdict degrades
+  /// honestly, and the data path never blocks on verification.
   size_t StreamBufCap = 1 << 16;
   /// Record every host delivery in deliveries(). Turn off (with
   /// RecordTrace) for pure-throughput benchmarking: recording
@@ -239,10 +245,13 @@ public:
   /// engine is read-only afterwards.
   void finish();
 
-  /// One element of the streaming trace feed (EngineConfig::StreamTrace):
-  /// either a trace entry or an excusal (a ledgered drop/shed whose
+  /// One element of the trace stream, the engine's only record of a
+  /// hop: either a trace entry or an excusal (a ledgered drop/shed whose
   /// chain may legitimately end at Ticket). Parent is the producing
-  /// occurrence's ticket, -1 for a root.
+  /// occurrence's ticket, -1 for a root; Tag is the configuration the
+  /// entry's packet was stamped with. IsDup marks the egress entry of a
+  /// fault-plan duplicate copy (informational: the copy is a packet like
+  /// any other, and the checkers verify its subtree).
   struct StreamItem {
     enum Kind : uint8_t { Entry, Excuse } K = Entry;
     uint64_t Ticket = 0;
@@ -250,6 +259,7 @@ public:
     netkat::Packet Lp;
     bool IsDelivery = false;
     bool IsDup = false;
+    nes::SetId Tag = 0;
   };
 
   /// Drains every shard's buffered stream items into \p Out (appended;
@@ -257,8 +267,22 @@ public:
   /// commit watermark W: no shard will ever again produce an entry with
   /// ticket < W, so a checker may commit everything <= W - 1. Returns 0
   /// until every shard has published a first watermark. One collector
-  /// thread at a time; callable concurrently with the run.
+  /// thread at a time; callable concurrently with the run. Under
+  /// RecordTrace the engine is the collector: finish() drains it.
   uint64_t drainTraceStream(std::vector<StreamItem> &Out);
+
+  /// The batch view of a drained stream.
+  struct BatchTrace {
+    consistency::NetworkTrace Trace; ///< entries in ticket order
+    std::vector<nes::SetId> Tags;    ///< parallel to Trace.entries()
+    std::vector<int> Excused; ///< sorted indices of excused entries
+  };
+  /// Builds the batch view from \p Items (every item of one run, in any
+  /// order): entries sorted by ticket, parent tickets translated into
+  /// trace indices, Excuse items into excused indices. Ticket order is a
+  /// legal global interleaving, so the result is what the batch
+  /// Definition 6 checker expects.
+  static BatchTrace buildBatchTrace(std::vector<StreamItem> Items);
 
   /// Stream items shed because a shard's StreamBuf sat at
   /// EngineConfig::StreamBufCap when the shard tried to flush (the
@@ -278,22 +302,21 @@ public:
   /// thread (latency aggregates are only populated once run returned).
   Stats stats() const;
 
-  /// The merged network trace (valid after run; empty if RecordTrace
-  /// was off).
-  const consistency::NetworkTrace &trace() const { return MergedTrace; }
+  /// The network trace (valid after run; empty unless RecordTrace).
+  const consistency::NetworkTrace &trace() const { return Recorded.Trace; }
 
-  /// Moves the merged trace out (for report assembly on a dying engine;
+  /// Moves the trace out (for report assembly on a dying engine;
   /// trace() is empty afterwards).
-  consistency::NetworkTrace takeTrace() { return std::move(MergedTrace); }
+  consistency::NetworkTrace takeTrace() { return std::move(Recorded.Trace); }
 
   /// The configuration tag each trace entry's packet carried, parallel
   /// to trace().entries().
-  const std::vector<nes::SetId> &traceTags() const { return MergedTags; }
+  const std::vector<nes::SetId> &traceTags() const { return Recorded.Tags; }
 
   /// The fault ledger assembled by run(): the deterministic record
-  /// multiset (drops/dups/delays/storms) plus the merged-trace indices
-  /// the consistency checker needs to excuse ledgered damage. Empty
-  /// when no plan was active.
+  /// multiset (drops/dups/delays/storms) plus, under RecordTrace, the
+  /// trace indices the consistency checker needs to excuse ledgered
+  /// drops and overload sheds (sheds happen without a plan too).
   const faults::FaultLedger &faultLedger() const { return Ledger; }
 
   /// Moves the ledger out (for report assembly on a dying engine).
@@ -393,14 +416,6 @@ private:
     return M.K == Msg::CtrlMerge || M.K == Msg::CtrlDelta;
   }
 
-  struct TraceRec {
-    uint64_t Ticket = 0;
-    int64_t Parent = -1;
-    netkat::Packet Lp;
-    bool IsDelivery = false;
-    nes::SetId Tag = 0;
-  };
-
   /// The per-shard latency-histogram pair (heap-allocated only when
   /// EngineConfig::LatencyHistograms is on; ~15 KB each).
   struct ShardLatency {
@@ -432,7 +447,6 @@ private:
     std::mutex CtrlMu;
     std::deque<Msg> CtrlLane;
     std::atomic<uint32_t> CtrlLaneSize{0};
-    std::vector<TraceRec> Trace;
     std::vector<std::pair<HostId, netkat::Packet>> Delivered;
     /// First-learn stamp per (switch, event), raw monotonicNs() — the
     /// same clock as DetectNs, so the Transition digest is a pure
@@ -475,20 +489,20 @@ private:
     uint64_t StallEvery = 0;               ///< resolved stall rule; 0 = none
     uint32_t StallUs = 0;
     std::vector<faults::FaultRecord> FaultRecs; ///< ledgered link faults
-    std::vector<int64_t> ExcusedTickets; ///< parents of fault-dropped hops
-    std::vector<int64_t> DupTickets;     ///< duplicate egress tickets
-    std::vector<int64_t> ShedTickets;    ///< parents of shed msgs (OverflowMu)
-    /// Streaming trace sink (EngineConfig::StreamTrace). StreamPending
-    /// is owner-private; the owner flushes it to StreamBuf (StreamMu)
-    /// once per loop iteration and then publishes StreamWatermark — a
-    /// promise that this shard will never again log a ticket below it.
-    /// ShedStream mirrors ShedTickets for producers (OverflowMu).
+    /// The trace stream (RecordTrace or StreamTrace). StreamPending is
+    /// owner-private; under StreamTrace the owner flushes it to
+    /// StreamBuf (StreamMu) once per loop iteration and then publishes
+    /// StreamWatermark — a promise that this shard will never again log
+    /// a ticket below it. Under RecordTrace it flushes once, at exit.
     std::vector<StreamItem> StreamPending;
     std::mutex StreamMu;
     std::vector<StreamItem> StreamBuf;
     uint64_t StreamLagShed = 0; ///< items shed at StreamBufCap (StreamMu)
     std::atomic<uint64_t> StreamWatermark{0};
-    std::vector<int64_t> ShedStream;
+    /// Parents of shed messages. Sheds happen on producer threads, so
+    /// the list lives under OverflowMu; drainTraceStream surfaces it as
+    /// Excuse items.
+    std::vector<int64_t> ShedTickets;
     /// Observability (obs/): both null when the corresponding
     /// EngineConfig knob is off — recording calls then cost one
     /// predictable null test and the hot loop takes no timestamps.
@@ -538,7 +552,7 @@ private:
   /// policy (spill, or bounded-backlog shedding with full accounting).
   void overflowMsg(Shard &Dst, Msg &&M);
   /// Retires \p M unprocessed: Pending release, drop/shed tallies,
-  /// excused-ticket ledgering. Caller holds Dst.OverflowMu.
+  /// excusal of the chain it ends. Caller holds Dst.OverflowMu.
   void shedLocked(Shard &Dst, Msg &M);
   void flushOut(Shard &S);
   void prefetchMsg(const Msg &M) const;
@@ -560,8 +574,11 @@ private:
       R->record({monotonicNs() - StartNs.load(std::memory_order_relaxed),
                  A, B, K, static_cast<uint8_t>(S.Index)});
   }
+  /// Records one hop on \p S's stream; returns its ticket, or -1 when
+  /// no trace is kept.
   int64_t logEntry(Shard &S, const netkat::Packet &Lp, int64_t Parent,
                    bool IsDelivery, nes::SetId Tag);
+  bool tracing() const { return C.RecordTrace || C.StreamTrace; }
   void mergeResults();
   /// The partition summary and per-shard counters shared by stats() and
   /// mergeResults() (one source of truth for both report shapes).
@@ -639,8 +656,7 @@ private:
   std::atomic<bool> Ran{false};
 
   // Merged results (valid after run()).
-  consistency::NetworkTrace MergedTrace;
-  std::vector<nes::SetId> MergedTags;
+  BatchTrace Recorded; ///< RecordTrace (Excused moves to the ledger)
   std::vector<std::pair<HostId, netkat::Packet>> MergedDeliveries;
   std::map<std::pair<SwitchId, nes::EventId>, double> MergedLearnTimes;
   std::vector<int64_t> TransitionNs; ///< detect->learn samples, ns

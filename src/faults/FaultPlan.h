@@ -140,18 +140,12 @@ struct FaultRecord {
 struct FaultLedger {
   std::vector<FaultRecord> Records;
 
-  /// Merged-trace entry indices whose packet chains may be truncated
-  /// (the last logged entry before a ledgered drop or an overload shed).
+  /// Trace entry indices whose packet chains may be truncated (the
+  /// last logged entry before a ledgered drop or an overload shed).
   /// Run-local: trace indices differ between substrates.
   std::vector<int> ExcusedEntries;
 
-  /// Merged-trace entry indices of duplicate egress entries: each roots
-  /// a subtree the checker deduplicates before verifying Definition 6.
-  std::vector<int> DupEntries;
-
-  bool empty() const {
-    return Records.empty() && ExcusedEntries.empty() && DupEntries.empty();
-  }
+  bool empty() const { return Records.empty() && ExcusedEntries.empty(); }
 
   /// Byte-stable serialization of the record multiset: records sorted
   /// canonically, one `line()` per row, '\n'-terminated. Same seed +

@@ -262,16 +262,15 @@ void Simulation::egress(SimPacket Pk) {
 
   if (FA == faults::Action::Dup) {
     // Duplicate copy: its own egress entry rooted at the same parent
-    // (the trace stays a tree); the ledger marks that entry so the
-    // checker prunes the duplicate subtree. The copy consumes its own
-    // transmission slot right behind the original.
+    // (the trace stays a tree). The copy is a packet like any other (it
+    // can trigger events, and the checker verifies its subtree) and
+    // consumes its own transmission slot right behind the original.
     SimPacket DupPk = *Shared;
     DupPk.FromDup = true;
     TraceEntry DupEntry;
     DupEntry.Lp = DupPk.Pkt;
     DupEntry.Parent = ChainParent;
     DupPk.TraceParent = Trace.append(std::move(DupEntry));
-    Ledger.DupEntries.push_back(DupPk.TraceParent);
     Ledger.Records.push_back(faults::Injector::recordAt(
         faults::FaultKind::Dup, At.Sw, At.Pt, DupPk.Pkt));
     ++FC.Dups;

@@ -12,6 +12,10 @@
 #include "api/Api.h"
 
 #include "apps/Programs.h"
+#include "consistency/Check.h"
+#include "engine/Engine.h"
+#include "engine/TrafficGen.h"
+#include "faults/Injector.h"
 
 #include <gtest/gtest.h>
 
@@ -281,4 +285,43 @@ TEST(Facade, RegisteredBackendIsReachable) {
   // An empty trace with no events trivially satisfies Definition 6.
   ASSERT_TRUE(R->Checked);
   EXPECT_TRUE(R->Consistency.Correct) << R->Consistency.Reason;
+}
+
+TEST(Facade, VerifyReportUsesExcusalsWithoutAFaultPlan) {
+  // A shed overload policy truncates chains under plain pressure, so a
+  // report can carry excusals and no fault plan. Its context must reach
+  // the batch checker anyway: serveNet once passed it only under a plan.
+  // Sheds depend on timing; the engine's content-addressed link drops
+  // truncate chains the same way, deterministically, so they supply the
+  // excusals of this report, which (built by hand) has no plan.
+  Result<Compilation> C = compileFirewall();
+  ASSERT_TRUE(C.ok()) << C.status().str();
+  faults::FaultPlan Plan;
+  Plan.Seed = 7;
+  Plan.Links.push_back({-1, -1, 0.2, 0, 0, 0, -1});
+  faults::Injector Inj(Plan);
+  engine::EngineConfig Cfg;
+  Cfg.Faults = &Inj;
+  engine::Engine E(C->structure(), C->topology(), Cfg);
+  engine::TrafficGen G(C->topology(), 3);
+  E.run(G.pings(8, 4));
+
+  RunReport R;
+  engine::Stats S = E.stats();
+  R.PacketsInjected = S.PacketsInjected;
+  R.PacketsDelivered = S.PacketsDelivered;
+  R.PacketsDropped = S.PacketsDropped;
+  R.Trace = E.trace();
+  R.FaultCtx.ExcusedEntries = E.faultLedger().ExcusedEntries;
+  ASSERT_FALSE(R.Faults.Enabled);
+  ASSERT_FALSE(R.FaultCtx.empty()) << "no chain was truncated";
+  // Without its context the truncated trace fails Definition 6.
+  ASSERT_FALSE(
+      consistency::checkAgainstNes(R.Trace, C->topology(), C->structure())
+          .Correct);
+
+  detail::verifyReport(R, *C, RunOptions());
+  EXPECT_TRUE(R.Audit.Ok);
+  ASSERT_TRUE(R.Checked);
+  EXPECT_TRUE(R.Consistency.Correct) << R.Consistency.Reason;
 }

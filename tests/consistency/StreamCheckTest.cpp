@@ -121,7 +121,6 @@ RunOut runEngine(Scenario &S, unsigned Shards,
   R.Trace = E.trace();
   faults::FaultLedger L = E.takeFaultLedger();
   R.Ctx.ExcusedEntries = std::move(L.ExcusedEntries);
-  R.Ctx.DupEntries = std::move(L.DupEntries);
   R.HasCtx = !R.Ctx.empty();
   return R;
 }
@@ -187,8 +186,8 @@ faults::FaultPlan namedPlan(const std::string &Name) {
 
 } // namespace
 
-/// With fault ledgers: excused prefixes and pruned dup subtrees must be
-/// honored identically by both checkers.
+/// With fault ledgers: excused prefixes must be honored identically by
+/// both checkers, and duplicate subtrees checked like any other.
 class StreamFaultDifferential
     : public ::testing::TestWithParam<
           std::tuple<const char *, OverloadPolicy>> {};
@@ -465,9 +464,7 @@ TEST(StreamCheck, FourShardFeedWiderThanTheSlab) {
       R.Trace, S.A.Topo, S.C->structure(), R.HasCtx ? &R.Ctx : nullptr);
   EXPECT_EQ(InOrder.ok(), Batch.Correct) << InOrder.Reason;
 
-  std::vector<bool> Dup(Es.size(), false), Exc(Es.size(), false);
-  for (int I : R.Ctx.DupEntries)
-    Dup[I] = true;
+  std::vector<bool> Exc(Es.size(), false);
   for (int I : R.Ctx.ExcusedEntries)
     Exc[I] = true;
   for (uint64_t Stride : {1ull, 1031ull}) {
@@ -485,7 +482,7 @@ TEST(StreamCheck, FourShardFeedWiderThanTheSlab) {
         for (unsigned K = 0; K != 300 && Next[Sh] != Shard[Sh].size(); ++K) {
           size_t I = Shard[Sh][Next[Sh]++];
           int64_t P = Es[I].Parent < 0 ? -1 : Es[I].Parent * (int64_t)Stride;
-          C.feedEntry(I * Stride, P, Es[I].Lp, Es[I].IsDelivery, Dup[I]);
+          C.feedEntry(I * Stride, P, Es[I].Lp, Es[I].IsDelivery);
           if (Exc[I])
             C.feedExcuse(I * Stride);
         }
@@ -627,14 +624,15 @@ TEST(StreamCheckApi, StreamingOnlyRetainsNoTrace) {
   EXPECT_FALSE(R->Checked);
   EXPECT_FALSE(R->StreamCheck.DifferentialRan);
   EXPECT_EQ(R->Trace.size(), 0u);
-  EXPECT_FALSE(R->StreamCheck.Result.violated())
-      << R->StreamCheck.Result.Reason;
+  EXPECT_EQ(R->StreamCheck.StreamShed, 0u);
+  EXPECT_TRUE(R->StreamCheck.Result.ok()) << R->StreamCheck.Result.Reason;
   EXPECT_GT(R->StreamCheck.Result.Stats.EntriesChecked, 0u);
   EXPECT_GT(R->StreamCheck.Result.Stats.PeakResidentBytes, 0u);
 }
 
-/// A fault plan's ledger must flow through the stream (excusals and dup
-/// markers ride the per-shard buffers, not the merged-trace remap).
+/// A fault plan's excusals must flow through the stream: they ride the
+/// per-shard buffers as Excuse items, and the teed batch trace is built
+/// from the same items.
 TEST(StreamCheckApi, LiveCollectorAgreesUnderFaults) {
   Scenario S = firewallScenario(23);
   ASSERT_TRUE(S.C.ok()) << S.C.status().str();
